@@ -10,6 +10,7 @@ package diesel
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"diesel/internal/memcached"
 	"diesel/internal/meta"
 	"diesel/internal/objstore"
+	"diesel/internal/obs"
 	"diesel/internal/server"
 	"diesel/internal/shuffle"
 	"diesel/internal/train"
@@ -728,4 +730,65 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 		}
 		l.Close()
 	}
+}
+
+// BenchmarkCacheSourceGroup measures one epoch group read through the
+// task-grained cache: a 2-master embedded task with every chunk
+// RAM-resident, so about half of each group's files are local hits and
+// half are peer hops, batched per owner master. allocs/op is CI-gated;
+// cache.get/group reports the peer RPCs per group (one per owner master
+// while its files fit one coalescing window, a few more past it).
+func BenchmarkCacheSourceGroup(b *testing.B) {
+	dep, err := core.Deploy(core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dep.Close()
+	w, err := client.Connect(client.Options{
+		User: "bench", Key: "bench",
+		Servers: dep.ServerAddrs(), Dataset: "group",
+		ChunkTarget: 64 << 10, // 16 files per chunk
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const files, fileSize = 256, 4096
+	data := randBytes(fileSize, 13)
+	for i := range files {
+		if err := w.Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	w.Close()
+	task, err := dep.StartTask(core.TaskConfig{
+		Dataset: "group", Nodes: 2, ClientsPerNode: 1, Policy: dcache.OnDemand,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer task.Close()
+	for _, p := range task.Peers {
+		if err := p.LoadOwned(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snap := task.Clients[0].DefaultDataset().Snapshot()
+	plan := shuffle.ChunkWisePlan(snap, 1, 4)
+	src := epoch.NewCacheSource(task.Peers[0], snap, 0)
+	calls := obs.Default().Duration("diesel_wire_call_seconds",
+		"Client-observed RPC round-trip latency by method.", obs.L("method", "cache.get"))
+	ctx := context.Background()
+	before := calls.Count()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		g := i % len(plan.Groups)
+		out, err := src.ReadGroup(ctx, plan, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != plan.Groups[g].End-plan.Groups[g].Start {
+			b.Fatalf("group %d: %d files", g, len(out))
+		}
+	}
+	b.ReportMetric(float64(calls.Count()-before)/float64(b.N), "cache.get/group")
 }

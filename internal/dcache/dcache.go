@@ -7,7 +7,8 @@
 // masters participate in dataset partitioning and serve cached data, so
 // the connection count is p×(n−1) instead of n×(n−1) (lines labeled 2).
 // File read requests from any peer go to the master that owns the file's
-// chunk in one hop (lines labeled 3).
+// chunk in one hop (lines labeled 3); an epoch group's files bound for one
+// master travel together in batched cache.get RPCs (batch.go).
 //
 // The cache is chunk-granular: a master that misses pulls the whole chunk
 // from a DIESEL server, which is why loading and recovery run at chunk
@@ -562,28 +563,6 @@ func (p *Peer) PrefetchErr() error {
 	return p.perr
 }
 
-// handleCacheGet serves a file from this master's cache (loading the chunk
-// on demand), for requests arriving from peers. The context carries the
-// server-side trace span, so an on-demand chunk load triggered by a peer
-// read shows up under the requesting peer's trace.
-func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, error) {
-	d := wire.NewDecoder(payload)
-	path := d.String()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	// The view is only read while encoding the response, so no copy is
-	// needed between cache and encoder — one memcpy per peer read, into
-	// the response payload itself.
-	b, err := p.readLocal(ctx, path, true)
-	if err != nil {
-		return nil, err
-	}
-	e := wire.NewEncoder(len(b) + 8)
-	e.Bytes32(b)
-	return e.Bytes(), nil
-}
-
 // promoteFromSpill pulls a whole chunk payload back out of the spill
 // tier into the RAM store (the checksum-verified promotion read). The
 // spill entry stays behind: chunks are immutable, so if the promoted
@@ -706,63 +685,25 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 		if ctx.Err() != nil {
 			return nil, err
 		}
-	} else if h := &p.health[owner]; h.tryUse(time.Now()) {
-		b, err := p.readFromMaster(ctx, p.masters[owner].addr, path)
-		if err == nil {
-			if h.succeeded() {
-				mMasterRevivals.Inc()
-			}
+	} else if p.health[owner].tryUse(time.Now()) {
+		// A remote read is a cache.get batch of one.
+		var got [1][]byte
+		err := p.askMaster(ctx, owner, []string{path}, got[:])
+		if err == nil && got[0] != nil {
 			p.Stats.PeerReads.Add(1)
 			mPeerReads.Inc()
 			sp.SetAttr("branch", "peer-master")
 			sp.SetAttr("owner", strconv.Itoa(owner))
-			return b, nil
+			return got[0], nil
 		}
-		if wire.IsRemote(err) {
-			// The master answered; this is an application error, not a
-			// liveness signal. Leave the breaker alone and fall back.
-			h.succeeded()
-		} else if ctx.Err() != nil {
-			// The caller gave up, which says nothing about the master's
-			// health. Clear any probe flag without recording an outcome.
-			h.aborted()
+		if abandons(ctx, err) {
 			return nil, err
-		} else if h.failed(time.Now(), p.cfg.DeadAfter, p.cfg.DeadCooldown) {
-			p.Stats.MasterDeaths.Add(1)
-			mMasterDeaths.Inc()
-			obs.Publish("breaker-trip",
-				"cache master marked dead after consecutive transport failures",
-				"addr", p.masters[owner].addr, "owner", strconv.Itoa(owner))
 		}
 	}
 	p.Stats.ServerFallback.Add(1)
 	mFallbacks.Inc()
 	sp.SetAttr("branch", "server-fallback")
 	return p.ds.GetDirect(ctx, path)
-}
-
-// readFromMaster fetches a file from a remote master, dialing lazily and
-// pooling connections.
-func (p *Peer) readFromMaster(ctx context.Context, addr, path string) ([]byte, error) {
-	pool, err := p.poolFor(addr)
-	if err != nil {
-		return nil, err
-	}
-	e := wire.AcquireEncoder(len(path) + 8)
-	e.String(path)
-	f, err := pool.CallBorrowContext(ctx, methodCacheGet, e.Bytes())
-	e.Release()
-	if err != nil {
-		return nil, err
-	}
-	// One copy out of the borrowed response, then the frame buffer
-	// recycles — the file bytes escape to the training loop, the
-	// file-sized RPC buffer does not.
-	d := wire.NewDecoder(f.Borrow())
-	b := append([]byte(nil), d.Bytes32()...)
-	err = d.Err()
-	f.Release()
-	return b, err
 }
 
 func (p *Peer) poolFor(addr string) (*wire.Pool, error) {

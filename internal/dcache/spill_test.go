@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"diesel/internal/client"
@@ -182,6 +183,88 @@ func TestFileViewValidAcrossDemotionAndPromotion(t *testing.T) {
 	p.DemoteAll() // re-demote the promoted copy
 	if !bytes.Equal(view, contents[3]) || !bytes.Equal(view2, contents[3]) {
 		t.Fatal("view corrupted by re-demotion")
+	}
+}
+
+// TestEvictionKeepsChunkReadable pins the demotion window: while a chunk
+// is evicted for the first time (its spill copy being written), reads
+// racing the eviction must find it in RAM or on SSD, never refetch it
+// from the servers. Each round spins readers on the one RAM-resident
+// chunk while loading the next chunk evicts it; every round may add
+// exactly one chunk load, the evicting one.
+func TestEvictionKeepsChunkReadable(t *testing.T) {
+	const nFiles, fileSize, chunkTarget = 96, 16 << 10, 128 << 10
+	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
+		c.CapacityBytes = chunkTarget * 3 / 2 // RAM holds one chunk
+		c.SpillDir = t.TempDir()
+		c.SpillPromoteAfter = -1 // keep racing reads off the promotion path
+	})
+	ctx := context.Background()
+	byChunk := make(map[int][]int)
+	for i, n := range names {
+		m, err := p.snap.Stat(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byChunk[m.ChunkIdx] = append(byChunk[m.ChunkIdx], i)
+	}
+	if len(byChunk) < 4 {
+		t.Fatalf("dataset packed into %d chunks, want several", len(byChunk))
+	}
+	read := func(i int) error {
+		b, err := p.ReadFileViewContext(ctx, names[i])
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(b, contents[i]) {
+			return fmt.Errorf("%s corrupt", names[i])
+		}
+		return nil
+	}
+	if err := read(byChunk[0][0]); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 1; ci < len(byChunk); ci++ {
+		loads := p.Stats.ChunkLoads.Load()
+		stop := make(chan struct{})
+		errs := make(chan error, 4)
+		var wg sync.WaitGroup
+		for r := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				files := byChunk[ci-1]
+				for k := r; ; k++ {
+					select {
+					case <-stop:
+						errs <- nil
+						return
+					default:
+					}
+					if err := read(files[k%len(files)]); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		err := read(byChunk[ci][0]) // loads chunk ci, evicting chunk ci-1
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 4 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := p.Stats.ChunkLoads.Load() - loads; got != 1 {
+			t.Fatalf("round %d: %d chunk loads, want 1 (racing reads refetched the evicted chunk)", ci, got)
+		}
+	}
+	if st := p.SpillStats(); st.Misses != uint64(len(byChunk)) {
+		t.Fatalf("spill misses = %d, want one per chunk's first load (%d)", st.Misses, len(byChunk))
 	}
 }
 

@@ -178,13 +178,31 @@ func (s *chunkStore) evictOver(capacity int64, keep string, prefer func(string) 
 			continue // raced with a concurrent get/put; rescan
 		}
 		e := back.Value.(*storeEntry)
+		st := s.spill.Load()
+		spilled := false
+		if st != nil {
+			// The spill copy is written before the victim leaves RAM, so a
+			// read racing the eviction finds the chunk in one tier or the
+			// other, never neither. The write is disk I/O and happens
+			// outside every shard lock, so it never convoys the hit path.
+			// A read that touches the victim meanwhile does not save it:
+			// rescanning on every touch could spin behind a hot chunk.
+			sh.mu.Unlock()
+			spilled = s.spillCopy(st, e)
+			sh.mu.Lock()
+			if sh.items[e.id] != back {
+				sh.mu.Unlock()
+				continue // removed by a concurrent evictor or clear; rescan
+			}
+		}
 		sh.lru.Remove(back)
 		delete(sh.items, e.id)
 		sh.mu.Unlock()
 		s.used.Add(-e.cc.size())
-		// Demotion happens outside every shard lock: the spill write is
-		// disk I/O and must never convoy the hit path.
-		s.demote(e)
+		if spilled {
+			st.demotions.Add(1)
+			mSpillDemotions.Inc()
+		}
 		evicted++
 	}
 	return evicted
@@ -270,24 +288,21 @@ func (s *chunkStore) closeSpill() {
 	}
 }
 
-// demote moves an evicted entry's payload to the spill tier. Chunks are
-// immutable, so a key already spilled needs no disk write — the log
-// reports written=false and re-demotion is free.
-func (s *chunkStore) demote(e *storeEntry) {
-	st := s.spill.Load()
-	if st == nil {
-		return
-	}
+// spillCopy writes an eviction victim's payload to the spill tier,
+// reporting whether the tier now holds it. Chunks are immutable, so a key
+// already spilled needs no disk write — the log reports written=false and
+// re-demotion is free. The bytes count as demoted when written, even if a
+// concurrent read then keeps the chunk in RAM: they are on disk either way.
+func (s *chunkStore) spillCopy(st *spillState, e *storeEntry) bool {
 	written, err := st.log.Add(e.id, e.cc.payload)
 	if err != nil {
-		return // disk trouble: the demotion degrades to a plain drop
+		return false // disk trouble: the demotion degrades to a plain drop
 	}
-	st.demotions.Add(1)
-	mSpillDemotions.Inc()
 	if written {
 		st.demotedB.Add(uint64(len(e.cc.payload)))
 		mSpillDemotedBytes.Add(uint64(len(e.cc.payload)))
 	}
+	return true
 }
 
 // spillRead serves one file-granular range straight from the spill tier

@@ -42,6 +42,15 @@ type ViewReader interface {
 	ReadFileViewContext(ctx context.Context, path string) ([]byte, error)
 }
 
+// GroupReader is the batched upgrade of ViewReader: ReadFilesViewContext
+// reads a whole group's files in one call, under the ViewReader contract,
+// returning them in paths order. *dcache.Peer implements it by sending
+// each remote owner master its files in a few batched cache.get RPCs
+// instead of one round trip per file.
+type GroupReader interface {
+	ReadFilesViewContext(ctx context.Context, paths []string) ([][]byte, error)
+}
+
 // ChunkClient is the server-direct read surface ClientSource needs:
 // whole-chunk fetches plus the batched file API it degrades to.
 // *client.Dataset implements it.
@@ -181,45 +190,65 @@ func joinChunkErrors(chunks map[int32]*fetched, err error) error {
 // CacheSource feeds an epoch reader through the task-grained distributed
 // cache: each file goes to its owning master in one hop (Figure 7), and
 // prefetching a group ahead pulls the group's chunks into the cache
-// before the consumer arrives. parallel bounds concurrent file reads
-// within one group.
+// before the consumer arrives. A GroupReader reads each group in one
+// batched call; other readers go file by file, with parallel bounding
+// the concurrent file reads within one group.
 type CacheSource struct {
-	fr       FileReader
-	read     func(ctx context.Context, path string) ([]byte, error)
-	snap     *meta.Snapshot
-	parallel int
+	read      func(ctx context.Context, path string) ([]byte, error)
+	readGroup func(ctx context.Context, paths []string) ([][]byte, error) // nil unless the reader is a GroupReader
+	snap      *meta.Snapshot
+	parallel  int
 }
 
 // NewCacheSource builds a cache-backed source (fr is typically a
-// *dcache.Peer). parallel <=0 means 8. A FileReader that also implements
-// ViewReader is read through its zero-copy path: ReadGroup's contract
-// already declares payloads read-only, so local cache hits can skip the
-// defensive copy.
+// *dcache.Peer). parallel <=0 means 8. The path is picked from what fr
+// supports: a GroupReader reads each group in one batched call, and a
+// ViewReader is read file by file through its zero-copy path (ReadGroup's
+// contract already declares payloads read-only, so local cache hits can
+// skip the defensive copy).
 func NewCacheSource(fr FileReader, snap *meta.Snapshot, parallel int) *CacheSource {
 	if parallel <= 0 {
 		parallel = 8
 	}
-	read := fr.ReadFileContext
+	s := &CacheSource{read: fr.ReadFileContext, snap: snap, parallel: parallel}
 	if vr, ok := fr.(ViewReader); ok {
-		read = vr.ReadFileViewContext
+		s.read = vr.ReadFileViewContext
 	}
-	return &CacheSource{fr: fr, read: read, snap: snap, parallel: parallel}
+	if gr, ok := fr.(GroupReader); ok {
+		s.readGroup = gr.ReadFilesViewContext
+	}
+	return s
 }
 
 // maxJoinedReadErrors caps how many per-file failures one group read
 // reports; past it the joined error just counts the rest.
 const maxJoinedReadErrors = 8
 
-// ReadGroup implements Source. A fixed pool of min(parallel, n) workers
-// drains the group's files from a channel, so a large group never holds
-// more goroutines than parallel — the previous shape spawned one
-// goroutine per file and only then queued on the semaphore, bursting
-// thousands of goroutines for chunk-sized groups. Every file is
-// attempted even after a failure, and all failures are joined so the
-// caller sees each broken file, not just the first.
+// ReadGroup implements Source. A GroupReader gets the whole group in one
+// call. Otherwise a fixed pool of min(parallel, n) workers drains the
+// group's files from a channel, so a large group never holds more
+// goroutines than parallel — the previous shape spawned one goroutine per
+// file and only then queued on the semaphore, bursting thousands of
+// goroutines for chunk-sized groups. Every file is attempted even after a
+// failure, and all failures are joined so the caller sees each broken
+// file, not just the first.
 func (s *CacheSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int) ([][]byte, error) {
 	span := plan.Groups[g]
 	n := span.End - span.Start
+	if s.readGroup != nil {
+		paths := make([]string, n)
+		for i := range paths {
+			paths[i] = s.snap.FileName(int(plan.Files[span.Start+i]))
+		}
+		out, err := s.readGroup(ctx, paths)
+		if err != nil {
+			return nil, fmt.Errorf("epoch: read group %d: %w", g, err)
+		}
+		if len(out) != n {
+			return nil, fmt.Errorf("epoch: read group %d: got %d files, want %d", g, len(out), n)
+		}
+		return out, nil
+	}
 	out := make([][]byte, n)
 	errs := make([]error, n)
 	jobs := make(chan int)

@@ -236,3 +236,60 @@ func TestCacheSourceCapsJoinedErrors(t *testing.T) {
 		t.Errorf("error %q missing the overflow count", err)
 	}
 }
+
+// groupFileReader is a countingFileReader that also reads whole groups,
+// like *dcache.Peer.
+type groupFileReader struct {
+	countingFileReader
+	groupCalls atomic.Int64
+	err        error
+}
+
+func (r *groupFileReader) ReadFilesViewContext(ctx context.Context, paths []string) ([][]byte, error) {
+	r.groupCalls.Add(1)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([][]byte, len(paths))
+	for i, p := range paths {
+		out[i] = []byte(p)
+	}
+	return out, nil
+}
+
+// TestCacheSourcePrefersGroupReader: a reader that reads whole groups
+// gets one call per group, in plan order, and no per-file reads; its
+// failure names the group.
+func TestCacheSourcePrefersGroupReader(t *testing.T) {
+	snap := buildSnap(4, 8)
+	plan := shuffle.ChunkWisePlan(snap, 3, 2)
+	fr := &groupFileReader{}
+	src := NewCacheSource(fr, snap, 4)
+	for g := range plan.Groups {
+		out, err := src.ReadGroup(context.Background(), plan, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := plan.Groups[g]
+		if len(out) != span.End-span.Start {
+			t.Fatalf("group %d: %d files, want %d", g, len(out), span.End-span.Start)
+		}
+		for i, data := range out {
+			if want := snap.FileName(int(plan.Files[span.Start+i])); string(data) != want {
+				t.Fatalf("group %d slot %d: %q, want %q", g, i, data, want)
+			}
+		}
+	}
+	if got := fr.groupCalls.Load(); got != int64(len(plan.Groups)) {
+		t.Errorf("%d group reads for %d groups", got, len(plan.Groups))
+	}
+	if fr.maxActive.Load() != 0 {
+		t.Error("group reader was also read file by file")
+	}
+
+	fr.err = errors.New("injected group failure")
+	if _, err := src.ReadGroup(context.Background(), plan, 1); err == nil ||
+		!errors.Is(err, fr.err) || !strings.Contains(err.Error(), "group 1") {
+		t.Fatalf("group failure surfaced as %v", err)
+	}
+}

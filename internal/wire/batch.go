@@ -7,11 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// groupBufSize is the coalescing window of a groupWriter. It comfortably
-// holds a batch of metadata-sized frames (stat/mget/ls responses) while
-// staying far below chunk size, so chunk transfers take the direct
-// single-write path.
-const groupBufSize = 64 << 10
+// GroupBufSize is the coalescing window of a groupWriter (and the read
+// buffer of every connection). It comfortably holds a batch of
+// metadata-sized frames (stat/mget/ls responses) while staying far below
+// chunk size, so chunk transfers take the direct single-write path.
+// Callers that pack many small items into one frame (the cache peers'
+// batched cache.get) keep each frame under it, so the batch still rides
+// the coalesced write.
+const GroupBufSize = 64 << 10
 
 // groupWriter serialises frame writes on one connection and coalesces
 // small frames into batched socket writes. The flush rule is
@@ -37,7 +40,7 @@ type groupWriter struct {
 }
 
 func newGroupWriter(w io.Writer) *groupWriter {
-	return &groupWriter{w: w, bw: bufio.NewWriterSize(w, groupBufSize)}
+	return &groupWriter{w: w, bw: bufio.NewWriterSize(w, GroupBufSize)}
 }
 
 // writeFrame buffers or writes f, flushing when no other writer is queued

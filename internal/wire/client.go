@@ -131,7 +131,7 @@ func (c *Client) readLoop() {
 	// Buffered reads: ReadFrame issues several small ReadFulls per frame
 	// (header, trace block, body); the bufio layer turns those into one
 	// socket read per batch of frames.
-	br := bufio.NewReaderSize(c.conn, groupBufSize)
+	br := bufio.NewReaderSize(c.conn, GroupBufSize)
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {

@@ -155,7 +155,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// carry the identity in their context. Atomic because dispatch runs
 	// in per-request goroutines.
 	var connJob atomic.Pointer[JobIdentity]
-	br := bufio.NewReaderSize(conn, groupBufSize)
+	br := bufio.NewReaderSize(conn, GroupBufSize)
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
